@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
 
   // ---- Intra-solve parallelism sweep --------------------------------------
   // Giant instances, one case per --threads width (default: serial only).
-  // The /t=W suffix keys tools/bench_diff and scripts/check_speedup.py:
+  // The /t=W suffix keys tools/bench_diff --min-speedup:
   // same instance, same decomposition, only the team width varies — the
   // answers are bit-identical, so the timings alone differ.  The tree
   // bottleneck is serial, so it runs at width 1 only.

@@ -102,6 +102,13 @@ int main(int argc, char** argv) {
       auto fp = graph::tree_fingerprint(t, &arena);
       (void)fp.lo;
     });
+    // What a tree cache hit pays: the fingerprint and edge map from one
+    // canonicalization pass, with no relabeled tree built.
+    std::snprintf(name, sizeof name, "tree_hit_key/n=%d", tree_n);
+    h.run(name, tree_n, [&] {
+      auto key = graph::tree_key(t, &arena);
+      (void)key.orig_edge.size();
+    });
   }
   {
     double K = 0;

@@ -43,8 +43,6 @@ std::uint64_t weight_bits(Weight w) { return std::bit_cast<std::uint64_t>(w); }
 // streams can never collide by construction.
 constexpr std::uint64_t kChainTag = 0xC4A11ull;
 constexpr std::uint64_t kTreeTag = 0x73EEull;
-constexpr std::uint64_t kChainContentTag = 0xC4A12ull;
-constexpr std::uint64_t kTreeContentTag = 0x73EFull;
 
 // Rooted canonical data for one candidate root: per-vertex subtree hash
 // (edge-to-parent included via `lifted`), and children sorted canonically.
@@ -179,6 +177,71 @@ bool hash_less(const Fingerprint& a, const Fingerprint& b) {
   return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
 }
 
+// The rooted form the canonical labeling uses: of the one or two
+// centroids, the one with the smaller root hash (the first on a tie).
+struct CanonicalRoot {
+  RootedForm form;
+  int root = 0;
+};
+
+CanonicalRoot canonical_root(const Tree& tree, util::Arena& arena) {
+  CsrView g = csr_from_tree(tree, arena);
+  Centroids cands = centroids(tree, g, arena);
+  CanonicalRoot best{rooted_form(tree, g, cands.c[0], arena), cands.c[0]};
+  if (cands.count == 2) {
+    RootedForm other = rooted_form(tree, g, cands.c[1], arena);
+    if (hash_less(other.root_hash, best.form.root_hash))
+      best = CanonicalRoot{other, cands.c[1]};
+  }
+  return best;
+}
+
+Fingerprint finish_tree_fingerprint(int n, const Fingerprint& root_hash) {
+  Fingerprint f = seed_fp(kTreeTag);
+  absorb(f, static_cast<std::uint64_t>(n));
+  absorb(f, root_hash.hi);
+  absorb(f, root_hash.lo);
+  return f;
+}
+
+// Whether the chain's reversal is its canonical orientation: compare the
+// (vertex seq, edge seq) bit patterns against the reversal
+// lexicographically; ties (palindromes) keep the submitted orientation.
+bool reversal_is_canonical(const Chain& chain) {
+  int cmp = 0;
+  int n = chain.n();
+  for (int i = 0; cmp == 0 && i < n; ++i) {
+    std::uint64_t a =
+        weight_bits(chain.vertex_weight[static_cast<std::size_t>(i)]);
+    std::uint64_t b = weight_bits(
+        chain.vertex_weight[static_cast<std::size_t>(n - 1 - i)]);
+    cmp = a < b ? -1 : (a > b ? 1 : 0);
+  }
+  int m = chain.edge_count();
+  for (int i = 0; cmp == 0 && i < m; ++i) {
+    std::uint64_t a =
+        weight_bits(chain.edge_weight[static_cast<std::size_t>(i)]);
+    std::uint64_t b =
+        weight_bits(chain.edge_weight[static_cast<std::size_t>(m - 1 - i)]);
+    cmp = a < b ? -1 : (a > b ? 1 : 0);
+  }
+  return cmp > 0;
+}
+
+CanonicalChain oriented_copy(const Chain& chain, bool reversed) {
+  CanonicalChain out;
+  out.reversed = reversed;
+  if (!reversed) {
+    out.chain = chain;
+  } else {
+    out.chain.vertex_weight.assign(chain.vertex_weight.rbegin(),
+                                   chain.vertex_weight.rend());
+    out.chain.edge_weight.assign(chain.edge_weight.rbegin(),
+                                 chain.edge_weight.rend());
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string Fingerprint::hex() const {
@@ -207,114 +270,21 @@ Fingerprint Fingerprint::load_le(const unsigned char in[kWireBytes]) {
 
 CanonicalChain canonical_chain(const Chain& chain) {
   chain.validate();
-  // Lexicographic bit-pattern comparison of (vertex seq, edge seq) against
-  // the reversal; ties (palindromes) keep the submitted orientation.
-  int cmp = 0;
-  int n = chain.n();
-  for (int i = 0; cmp == 0 && i < n; ++i) {
-    std::uint64_t a = weight_bits(chain.vertex_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b = weight_bits(
-        chain.vertex_weight[static_cast<std::size_t>(n - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  int m = chain.edge_count();
-  for (int i = 0; cmp == 0 && i < m; ++i) {
-    std::uint64_t a = weight_bits(chain.edge_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b = weight_bits(
-        chain.edge_weight[static_cast<std::size_t>(m - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  CanonicalChain out;
-  out.reversed = cmp > 0;
-  if (!out.reversed) {
-    out.chain = chain;
-  } else {
-    out.chain.vertex_weight.assign(chain.vertex_weight.rbegin(),
-                                   chain.vertex_weight.rend());
-    out.chain.edge_weight.assign(chain.edge_weight.rbegin(),
-                                 chain.edge_weight.rend());
-  }
-  return out;
+  return oriented_copy(chain, reversal_is_canonical(chain));
 }
 
-CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena) {
-  int n = tree.n();
-  util::ScratchFrame frame(arena);
-  CsrView g = csr_from_tree(tree, frame.arena());
-  Centroids cands = centroids(tree, g, frame.arena());
-  RootedForm best = rooted_form(tree, g, cands.c[0], frame.arena());
-  int root = cands.c[0];
-  if (cands.count == 2) {
-    RootedForm other = rooted_form(tree, g, cands.c[1], frame.arena());
-    if (hash_less(other.root_hash, best.root_hash)) {
-      best = other;
-      root = cands.c[1];
-    }
-  }
-
-  // Preorder relabeling with canonical child order.
-  std::vector<int> orig_vertex;
-  orig_vertex.reserve(static_cast<std::size_t>(n));
-  int* stack = frame->alloc_array<int>(static_cast<std::size_t>(n));
-  int top = 0;
-  stack[top++] = root;
-  while (top > 0) {
-    int v = stack[--top];
-    orig_vertex.push_back(v);
-    auto [kb, ke] = best.children(v);
-    for (const int* it = ke; it != kb; --it) stack[top++] = *(it - 1);
-  }
-  std::vector<int> new_index(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c)
-    new_index[static_cast<std::size_t>(
-        orig_vertex[static_cast<std::size_t>(c)])] = c;
-
-  std::vector<Weight> vw(static_cast<std::size_t>(n));
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  std::vector<Weight> pew(static_cast<std::size_t>(n), Weight{1});
-  std::vector<int> orig_edge(static_cast<std::size_t>(n > 0 ? n - 1 : 0), -1);
-  for (int c = 0; c < n; ++c) {
-    int old = orig_vertex[static_cast<std::size_t>(c)];
-    vw[static_cast<std::size_t>(c)] = tree.vertex_weight(old);
-    if (old == root) continue;
-    int pe = best.parent_edge[static_cast<std::size_t>(old)];
-    parent[static_cast<std::size_t>(c)] =
-        new_index[static_cast<std::size_t>(
-            best.parent[static_cast<std::size_t>(old)])];
-    pew[static_cast<std::size_t>(c)] = tree.edge(pe).weight;
-    // Tree::from_parents emits edge c-1 for vertex c.
-    orig_edge[static_cast<std::size_t>(c - 1)] = pe;
-  }
-  return CanonicalTree{Tree::from_parents(std::move(vw), parent, pew),
-                       std::move(orig_vertex), std::move(orig_edge)};
-}
-
-Fingerprint chain_fingerprint(const Chain& chain) {
+ChainKey chain_key(const Chain& chain) {
   chain.validate();
   // Decide the canonical orientation without materializing the reversed
-  // copy: compare against the reversal, then absorb the weight streams in
-  // the winning direction directly.
-  int cmp = 0;
-  int n = chain.n();
-  for (int i = 0; cmp == 0 && i < n; ++i) {
-    std::uint64_t a =
-        weight_bits(chain.vertex_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b = weight_bits(
-        chain.vertex_weight[static_cast<std::size_t>(n - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  int m = chain.edge_count();
-  for (int i = 0; cmp == 0 && i < m; ++i) {
-    std::uint64_t a =
-        weight_bits(chain.edge_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b =
-        weight_bits(chain.edge_weight[static_cast<std::size_t>(m - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  const bool reversed = cmp > 0;
+  // copy, then absorb the weight streams in the winning direction.
+  ChainKey key;
+  key.reversed = reversal_is_canonical(chain);
+  key.edge_count = chain.edge_count();
+  const int n = chain.n();
+  const int m = key.edge_count;
   Fingerprint f = seed_fp(kChainTag);
   absorb(f, static_cast<std::uint64_t>(n));
-  if (!reversed) {
+  if (!key.reversed) {
     for (Weight w : chain.vertex_weight) absorb(f, weight_bits(w));
     for (Weight w : chain.edge_weight) absorb(f, weight_bits(w));
   } else {
@@ -323,43 +293,90 @@ Fingerprint chain_fingerprint(const Chain& chain) {
     for (int i = m - 1; i >= 0; --i)
       absorb(f, weight_bits(chain.edge_weight[static_cast<std::size_t>(i)]));
   }
-  return f;
+  key.fingerprint = f;
+  return key;
+}
+
+CanonicalChain materialize_chain(const Chain& chain, const ChainKey& key) {
+  TGP_REQUIRE(key.edge_count == chain.edge_count(),
+              "chain key belongs to a different chain");
+  return oriented_copy(chain, key.reversed);
+}
+
+TreeKey tree_key(const Tree& tree, util::Arena* arena) {
+  const int n = tree.n();
+  util::ScratchFrame frame(arena);
+  const CanonicalRoot best = canonical_root(tree, frame.arena());
+  TreeKey key;
+  key.fingerprint = finish_tree_fingerprint(n, best.form.root_hash);
+  key.root = best.root;
+  key.orig_edge.resize(static_cast<std::size_t>(n > 0 ? n - 1 : 0));
+  // Preorder walk with canonical child order: canonical vertex c >= 1
+  // enters through its parent edge, which becomes canonical edge c − 1
+  // (Tree::from_parents emits edge c − 1 for vertex c).
+  int* stack = frame->alloc_array<int>(static_cast<std::size_t>(n));
+  int top = 0;
+  int c = 0;
+  stack[top++] = best.root;
+  while (top > 0) {
+    int v = stack[--top];
+    if (c > 0)
+      key.orig_edge[static_cast<std::size_t>(c - 1)] =
+          best.form.parent_edge[static_cast<std::size_t>(v)];
+    ++c;
+    auto [kb, ke] = best.form.children(v);
+    for (const int* it = ke; it != kb; --it) stack[top++] = *(it - 1);
+  }
+  return key;
+}
+
+CanonicalTree materialize_tree(const Tree& tree, TreeKey key) {
+  const int n = tree.n();
+  TGP_REQUIRE(key.orig_edge.size() == static_cast<std::size_t>(n - 1) &&
+                  key.root >= 0 && key.root < n,
+              "tree key belongs to a different tree");
+  std::vector<int> orig_vertex(static_cast<std::size_t>(n));
+  std::vector<int> new_index(static_cast<std::size_t>(n), -1);
+  std::vector<Weight> vw(static_cast<std::size_t>(n));
+  std::vector<int> parent(static_cast<std::size_t>(n), -1);
+  std::vector<Weight> pew(static_cast<std::size_t>(n), Weight{1});
+  orig_vertex[0] = key.root;
+  new_index[static_cast<std::size_t>(key.root)] = 0;
+  for (int c = 1; c < n; ++c) {
+    const TreeEdge& e = tree.edge(key.map_edge_back(c - 1));
+    // Preorder labels a parent before its children, so exactly one end
+    // of the edge is labeled already: that end is the parent.
+    const bool u_is_parent = new_index[static_cast<std::size_t>(e.u)] >= 0;
+    const int child = u_is_parent ? e.v : e.u;
+    const int up = u_is_parent ? e.u : e.v;
+    TGP_REQUIRE(new_index[static_cast<std::size_t>(child)] < 0 &&
+                    new_index[static_cast<std::size_t>(up)] >= 0,
+                "tree key belongs to a different tree");
+    orig_vertex[static_cast<std::size_t>(c)] = child;
+    new_index[static_cast<std::size_t>(child)] = c;
+    parent[static_cast<std::size_t>(c)] =
+        new_index[static_cast<std::size_t>(up)];
+    pew[static_cast<std::size_t>(c)] = e.weight;
+  }
+  for (int c = 0; c < n; ++c)
+    vw[static_cast<std::size_t>(c)] =
+        tree.vertex_weight(orig_vertex[static_cast<std::size_t>(c)]);
+  return CanonicalTree{Tree::from_parents(std::move(vw), parent, pew),
+                       std::move(orig_vertex), std::move(key.orig_edge)};
+}
+
+CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena) {
+  return materialize_tree(tree, tree_key(tree, arena));
+}
+
+Fingerprint chain_fingerprint(const Chain& chain) {
+  return chain_key(chain).fingerprint;
 }
 
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena) {
   util::ScratchFrame frame(arena);
-  CsrView g = csr_from_tree(tree, frame.arena());
-  Centroids cands = centroids(tree, g, frame.arena());
-  Fingerprint h = rooted_form(tree, g, cands.c[0], frame.arena()).root_hash;
-  if (cands.count == 2) {
-    Fingerprint h2 = rooted_form(tree, g, cands.c[1], frame.arena()).root_hash;
-    if (hash_less(h2, h)) h = h2;
-  }
-  Fingerprint f = seed_fp(kTreeTag);
-  absorb(f, static_cast<std::uint64_t>(tree.n()));
-  absorb(f, h.hi);
-  absorb(f, h.lo);
-  return f;
-}
-
-Fingerprint chain_content_digest(const Chain& chain) {
-  Fingerprint f = seed_fp(kChainContentTag);
-  absorb(f, static_cast<std::uint64_t>(chain.n()));
-  for (Weight w : chain.vertex_weight) absorb(f, weight_bits(w));
-  for (Weight w : chain.edge_weight) absorb(f, weight_bits(w));
-  return f;
-}
-
-Fingerprint tree_content_digest(const Tree& tree) {
-  Fingerprint f = seed_fp(kTreeContentTag);
-  absorb(f, static_cast<std::uint64_t>(tree.n()));
-  for (Weight w : tree.vertex_weights()) absorb(f, weight_bits(w));
-  for (const TreeEdge& e : tree.edges()) {
-    absorb(f, static_cast<std::uint64_t>(e.u));
-    absorb(f, static_cast<std::uint64_t>(e.v));
-    absorb(f, weight_bits(e.weight));
-  }
-  return f;
+  return finish_tree_fingerprint(
+      tree.n(), canonical_root(tree, frame.arena()).form.root_hash);
 }
 
 }  // namespace tgp::graph

@@ -13,13 +13,19 @@
 //     hash, plus vertex/edge maps back to the submitted labeling;
 //   * fingerprint — a 128-bit hash of the canonical form, equal for
 //     isomorphic chains (reversal) and for trees that differ only by
-//     child order / vertex relabeling.
+//     child order / vertex relabeling;
+//   * chain_key / tree_key — the fingerprint and the canonical→submitted
+//     edge map from one canonicalization pass, without building the
+//     canonical graph; materialize_chain / materialize_tree build it from
+//     the key when a solver needs it.  canonical_chain(c) is
+//     materialize_chain(c, chain_key(c)), and likewise for trees.
 //
 // Equality of fingerprints is probabilistic (two independent 64-bit
 // streams; collision odds ~2^-128 for unrelated graphs), which is the
 // right trade for a memo cache: a collision can at worst return a result
-// computed for a different graph, and the service additionally compares
-// the exact content digest before trusting a cache hit.
+// computed for a different graph.  No exact content comparison backs a
+// cache hit; a hit that needs verification is checked by core/verify
+// against the submitted graph instead.
 #pragma once
 
 #include <cstddef>
@@ -82,6 +88,26 @@ struct CanonicalChain {
 /// canonical form.  O(n).
 CanonicalChain canonical_chain(const Chain& chain);
 
+/// A chain's cache key without the canonical copy: the fingerprint, and
+/// whether the canonical orientation is the reversal.  map_edge_back
+/// agrees with the CanonicalChain that materialize_chain builds.
+struct ChainKey {
+  Fingerprint fingerprint;
+  bool reversed = false;
+  int edge_count = 0;
+
+  int map_edge_back(int canonical_edge) const {
+    return reversed ? edge_count - 1 - canonical_edge : canonical_edge;
+  }
+};
+
+/// The orientation compare plus the hash in the winning direction; reads
+/// `chain` in place.  key.fingerprint == chain_fingerprint(chain).  O(n).
+ChainKey chain_key(const Chain& chain);
+
+/// The canonical chain for `key`, which must come from chain_key(chain).
+CanonicalChain materialize_chain(const Chain& chain, const ChainKey& key);
+
 // ---- Trees ----------------------------------------------------------------
 
 /// A tree relabeled into canonical form.  orig_vertex[c] is the submitted
@@ -108,6 +134,32 @@ struct CanonicalTree {
 /// allocates the returned canonical tree and its index maps.
 CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena = nullptr);
 
+/// A tree's cache key without the relabeled copy.  `root` is the
+/// submitted index of canonical vertex 0; orig_edge[c] is the submitted
+/// index of canonical edge c, exactly as in CanonicalTree.  Canonical
+/// vertex c >= 1 is the far end of canonical edge c − 1, which is how
+/// materialize_tree rebuilds the vertex map without storing it.
+struct TreeKey {
+  Fingerprint fingerprint;
+  int root = 0;
+  std::vector<int> orig_edge;
+
+  int map_edge_back(int canonical_edge) const {
+    return orig_edge[static_cast<std::size_t>(canonical_edge)];
+  }
+};
+
+/// One canonicalization pass: CSR, centroids, their rooted forms, and a
+/// preorder walk of the chosen one that fills the edge map.  The
+/// fingerprint is finished from the chosen rooted form's hash, so
+/// key.fingerprint == tree_fingerprint(tree).  Scratch from `arena`
+/// (null = per-thread fallback); allocates only the edge map.  O(n log n).
+TreeKey tree_key(const Tree& tree, util::Arena* arena = nullptr);
+
+/// The relabeled canonical tree for `key`, which must come from
+/// tree_key(tree); takes over key.orig_edge.  O(n).
+CanonicalTree materialize_tree(const Tree& tree, TreeKey key);
+
 // ---- Fingerprints ---------------------------------------------------------
 
 /// Fingerprint of the canonical orientation of `chain` (reversal-stable).
@@ -117,12 +169,6 @@ Fingerprint chain_fingerprint(const Chain& chain);
 /// child-order-stable).  Scratch from `arena` (null = per-thread
 /// fallback); allocates nothing in steady state.
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena = nullptr);
-
-/// Exact content digest of a graph *as submitted* — NOT isomorphism
-/// stable.  The service pairs this with the canonical fingerprint to tell
-/// "same graph, same presentation" apart from "equivalent graph".
-Fingerprint chain_content_digest(const Chain& chain);
-Fingerprint tree_content_digest(const Tree& tree);
 
 }  // namespace tgp::graph
 

@@ -286,6 +286,16 @@ void apply_outcome(JobResult& r, const CanonicalOutcome& o,
   fill_result(r, o, [&](int e) { return ct.map_edge_back(e); });
 }
 
+void apply_outcome(JobResult& r, const CanonicalOutcome& o,
+                   const graph::ChainKey& key) {
+  fill_result(r, o, [&](int e) { return key.map_edge_back(e); });
+}
+
+void apply_outcome(JobResult& r, const CanonicalOutcome& o,
+                   const graph::TreeKey& key) {
+  fill_result(r, o, [&](int e) { return key.map_edge_back(e); });
+}
+
 JobResult execute_job(const JobSpec& spec, const util::CancelToken* cancel) {
   JobResult r;
   if (spec.is_chain()) {

@@ -196,12 +196,18 @@ CanonicalOutcome solve_canonical_chain_degraded(const graph::Chain& chain,
                                                 graph::Weight K);
 
 /// Translate a canonical-coordinates outcome onto the submitted
-/// presentation (sorted edge indices), marking the result ok.  Shared by
-/// the direct path and the service's cache-hit path so both produce
-/// bit-identical results.
+/// presentation (sorted edge indices), marking the result ok.  The
+/// canonical graphs and the cache keys (graph::chain_key / tree_key) map
+/// edges back identically, so the direct path, the service's miss path
+/// and its cache-hit path produce bit-identical results.  Every cut edge
+/// must be in range for the graph.
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
                    const graph::CanonicalChain& cc);
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
                    const graph::CanonicalTree& ct);
+void apply_outcome(JobResult& r, const CanonicalOutcome& o,
+                   const graph::ChainKey& key);
+void apply_outcome(JobResult& r, const CanonicalOutcome& o,
+                   const graph::TreeKey& key);
 
 }  // namespace tgp::svc

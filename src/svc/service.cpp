@@ -1,6 +1,7 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -35,15 +36,19 @@ core::VerifyObjective verify_objective_for(Problem p) {
   return core::VerifyObjective::kTotalWeight;  // unreachable
 }
 
-core::CutCheck verify_canonical(Problem problem, const graph::Chain& chain,
-                                graph::Weight K, const CanonicalOutcome& o) {
-  return core::verify_chain_cut(chain, K, o.cut, verify_objective_for(problem),
+// Check `cut`, in the numbering of `chain` / `tree`, against the
+// objective and component count that `o` claims.
+core::CutCheck verify_cut(Problem problem, const graph::Chain& chain,
+                          graph::Weight K, const graph::Cut& cut,
+                          const CanonicalOutcome& o) {
+  return core::verify_chain_cut(chain, K, cut, verify_objective_for(problem),
                                 o.objective, o.components);
 }
 
-core::CutCheck verify_canonical(Problem problem, const graph::Tree& tree,
-                                graph::Weight K, const CanonicalOutcome& o) {
-  return core::verify_tree_cut(tree, K, o.cut, verify_objective_for(problem),
+core::CutCheck verify_cut(Problem problem, const graph::Tree& tree,
+                          graph::Weight K, const graph::Cut& cut,
+                          const CanonicalOutcome& o) {
+  return core::verify_tree_cut(tree, K, cut, verify_objective_for(problem),
                                o.objective, o.components);
 }
 
@@ -639,6 +644,46 @@ void PartitionService::cache_store(WorkerState& state, const CacheKey& key,
                         : breaker_.record_fault(now_micros()));
 }
 
+template <typename GraphKey, typename Graph>
+bool PartitionService::serve_hit(WorkerState& state, const JobSpec& spec,
+                                 const CacheKey& key, const GraphKey& gk,
+                                 const Graph& graph, JobResult& r) {
+  CacheHitInfo info;
+  if (!cache_probe(state, key, state.hit_scratch, &info)) return false;
+  const CanonicalOutcome& o = state.hit_scratch;
+  const bool verify = info.needs_verify || config_.verify_results;
+  // Range-check the cached canonical edges before they index the edge
+  // map, so a corrupt record is quarantined instead of read out of bounds.
+  const int m = graph.edge_count();
+  bool ok = std::all_of(o.cut.edges.begin(), o.cut.edges.end(),
+                        [m](int e) { return e >= 0 && e < m; });
+  if (ok) {
+    apply_outcome(r, o, gk);
+    if (verify) {
+      // A recovery-loaded entry crossed a process boundary; re-check the
+      // mapped cut on the submitted graph with the independent verifier
+      // before serving it.
+      TGP_SPAN("svc", "verify");
+      ok = verify_cut(spec.problem, graph, spec.K, r.cut, o).ok;
+    }
+  }
+  if (!ok) {
+    verify_failed_.fetch_add(1);
+    // quarantine_erase routes the entry through the quarantine hook,
+    // which lands the bytes in the store's sidecar; the job falls through
+    // to a fresh solve.
+    cache_.quarantine_erase(key);
+    r = JobResult{};
+    return false;
+  }
+  if (verify) {
+    if (info.needs_verify) cache_.mark_verified(key);
+    verified_ok_.fetch_add(1);
+  }
+  r.cache_hit = true;
+  return true;
+}
+
 JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
                                     const util::CancelToken* cancel,
                                     bool degrade) {
@@ -646,44 +691,22 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
   try {
     if (util::faults().fire("svc.worker.solve"))
       throw util::InjectedFault("svc.worker.solve");
+    // One canonicalization pass gives the cache key and the edge map a
+    // hit needs; the canonical graph itself is built only on a miss.
     if (spec.is_chain()) {
-      graph::CanonicalChain cc = [&] {
+      graph::ChainKey gk = [&] {
         TGP_SPAN("svc", "canonicalize");
-        return graph::canonical_chain(*spec.chain);
+        return graph::chain_key(*spec.chain);
       }();
-      CacheKey key = CacheKey::make(graph::chain_fingerprint(cc.chain),
-                                    spec.problem, spec.K);
+      CacheKey key = CacheKey::make(gk.fingerprint, spec.problem, spec.K);
       // Degraded or not, the cache is probed first: a hit serves the
       // *optimal* cached payload and needs no degradation at all.
-      CacheHitInfo hit_info;
-      bool hit = cache_probe(state, key, state.hit_scratch, &hit_info);
-      if (hit && (hit_info.needs_verify || config_.verify_results)) {
-        // A recovery-loaded entry crossed a process boundary; re-check
-        // it with the independent verifier before serving.  A failure
-        // quarantines the entry and falls through to a fresh solve.
-        TGP_SPAN("svc", "verify");
-        core::CutCheck check =
-            verify_canonical(spec.problem, cc.chain, spec.K,
-                             state.hit_scratch);
-        if (check.ok) {
-          if (hit_info.needs_verify) cache_.mark_verified(key);
-          verified_ok_.fetch_add(1);
-        } else {
-          verify_failed_.fetch_add(1);
-          // quarantine_erase routes the entry through the quarantine
-          // hook, which lands the bytes in the store's sidecar.
-          cache_.quarantine_erase(key);
-          hit = false;
-        }
-      }
-      if (hit) {
-        apply_outcome(r, state.hit_scratch, cc);
-        r.cache_hit = true;
-        return r;
-      }
+      if (serve_hit(state, spec, key, gk, *spec.chain, r)) return r;
       const bool fallback = degrade && spec.problem == Problem::kBandwidth;
+      graph::CanonicalChain cc;
       CanonicalOutcome o = [&] {
         TGP_SPAN("svc", "solve");
+        cc = graph::materialize_chain(*spec.chain, gk);
         if (fallback)
           return solve_canonical_chain_degraded(cc.chain, spec.K);
         return solve_canonical_chain(spec.problem, cc.chain, spec.K, cancel,
@@ -692,7 +715,7 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
       if (config_.verify_results) {
         TGP_SPAN("svc", "verify");
         core::CutCheck check =
-            verify_canonical(spec.problem, cc.chain, spec.K, o);
+            verify_cut(spec.problem, cc.chain, spec.K, o.cut, o);
         TGP_ENSURE(check.ok,
                    "result verification failed: " + check.detail);
         verified_ok_.fetch_add(1);
@@ -710,48 +733,28 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         journal_store(state, key, o);
       }
     } else {
-      graph::CanonicalTree ct = [&] {
+      graph::TreeKey gk = [&] {
         TGP_SPAN("svc", "canonicalize");
-        return graph::canonical_tree(*spec.tree, &state.arena);
+        return graph::tree_key(*spec.tree, &state.arena);
       }();
-      CacheKey key =
-          CacheKey::make(graph::tree_fingerprint(ct.tree, &state.arena),
-                         spec.problem, spec.K);
-      CacheHitInfo hit_info;
-      bool hit = cache_probe(state, key, state.hit_scratch, &hit_info);
-      if (hit && (hit_info.needs_verify || config_.verify_results)) {
-        TGP_SPAN("svc", "verify");
-        core::CutCheck check =
-            verify_canonical(spec.problem, ct.tree, spec.K,
-                             state.hit_scratch);
-        if (check.ok) {
-          if (hit_info.needs_verify) cache_.mark_verified(key);
-          verified_ok_.fetch_add(1);
-        } else {
-          verify_failed_.fetch_add(1);
-          cache_.quarantine_erase(key);
-          hit = false;
-        }
-      }
-      if (hit) {
-        apply_outcome(r, state.hit_scratch, ct);
-        r.cache_hit = true;
-        return r;
-      }
+      CacheKey key = CacheKey::make(gk.fingerprint, spec.problem, spec.K);
+      if (serve_hit(state, spec, key, gk, *spec.tree, r)) return r;
+      std::optional<graph::CanonicalTree> ct;
       CanonicalOutcome o = [&] {
         TGP_SPAN("svc", "solve");
-        return solve_canonical_tree(spec.problem, ct.tree, spec.K, cancel,
+        ct.emplace(graph::materialize_tree(*spec.tree, std::move(gk)));
+        return solve_canonical_tree(spec.problem, ct->tree, spec.K, cancel,
                                     &state.arena);
       }();
       if (config_.verify_results) {
         TGP_SPAN("svc", "verify");
         core::CutCheck check =
-            verify_canonical(spec.problem, ct.tree, spec.K, o);
+            verify_cut(spec.problem, ct->tree, spec.K, o.cut, o);
         TGP_ENSURE(check.ok,
                    "result verification failed: " + check.detail);
         verified_ok_.fetch_add(1);
       }
-      apply_outcome(r, o, ct);
+      apply_outcome(r, o, *ct);
       cache_store(state, key, o);
       journal_store(state, key, o);
     }

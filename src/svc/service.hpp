@@ -11,15 +11,17 @@
 //        │                                          worker pops job
 //        │                     expired deadline / pending cancel? ──► fail slot
 //        │                                                  │
-//        │                     canonicalize graph, fingerprint
+//        │     one canonical pass: fingerprint + edge map
 //        │                                                  │
 //        │                        memo cache probe ── hit ──┐
 //        │                              │ miss              │
+//        │                   build canonical graph          │
 //        │                        solve canonical  ◄─ polls the job's
 //        │                        store in cache      cancel token
 //        │                              └───────┬───────────┘
 //        │                            map cut back to submitted
-//        │                            labeling, write result slot
+//        │                            labeling (a hit that needs it
+//        │                            is verified there), write slot
 //        ▼                                                  │
 //   wait_idle() ◄── completed count reaches submitted ◄─────┘
 //
@@ -283,6 +285,14 @@ class PartitionService {
   void watchdog_loop();
   JobResult process(WorkerState& state, const JobSpec& spec,
                     const util::CancelToken* cancel, bool degrade);
+  /// Probe the cache for `key` and, on a hit, map the cached cut onto
+  /// the submitted graph through `gk` (graph::ChainKey / TreeKey) into
+  /// `r`.  An entry that needs verification is checked on the submitted
+  /// graph; a failed check or an out-of-range edge quarantines it.
+  /// Returns false when the job must be solved.
+  template <typename GraphKey, typename Graph>
+  bool serve_hit(WorkerState& state, const JobSpec& spec, const CacheKey& key,
+                 const GraphKey& gk, const Graph& graph, JobResult& r);
   /// Cache probe/store with the resilience layer applied: breaker gate,
   /// transient-fault retries with jittered backoff, fault accounting.
   bool cache_probe(WorkerState& state, const CacheKey& key,

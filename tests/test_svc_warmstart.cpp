@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "dur/journal.hpp"
+#include "graph/fingerprint.hpp"
+#include "graph/generators.hpp"
 #include "svc/persist.hpp"
 #include "svc/service.hpp"
 #include "tools/serve_tool.hpp"
@@ -209,48 +211,147 @@ TEST(WarmStart, MalformedJournalRecordIsCountedAndSkipped) {
       << "good records around the junk still load";
 }
 
+/// Solve `spec` on a durable service into `dir` (results in `cold`), then
+/// rewrite its one stored record through `corrupt`: framing CRC fine,
+/// payload wrong — exactly what the independent verifier is for.
+template <typename Corrupt>
+void solve_then_corrupt(const std::string& dir, const JobSpec& spec,
+                        Corrupt corrupt, std::vector<JobResult>* cold) {
+  {
+    PartitionService service(durable_config(dir));
+    *cold = service.run_batch({spec});
+    ASSERT_EQ((*cold)[0].status, JobStatus::kOk);
+    service.flush_durable();
+  }
+  dur::CacheStore::Config sc;
+  sc.dir = dir;
+  sc.epoch = kCacheRecordEpoch;
+  dur::CacheStore store(sc);
+  std::vector<std::vector<std::uint8_t>> entries;
+  ASSERT_TRUE(store.load([&](std::span<const std::uint8_t> r) {
+    entries.emplace_back(r.begin(), r.end());
+  }));
+  ASSERT_EQ(entries.size(), 1u);
+  CacheKey key;
+  CanonicalOutcome o;
+  ASSERT_TRUE(decode_cache_record(entries[0], key, o));
+  corrupt(o);
+  ASSERT_TRUE(store.append(encode_cache_record(key, o)));
+  ASSERT_TRUE(store.flush_clean());
+}
+
+/// A successor service on `dir` runs `spec`: the corrupt entry must be
+/// rejected at hit time, quarantined, and the job re-solved to `want`.
+void expect_quarantined_and_resolved(const std::string& dir,
+                                     const JobSpec& spec,
+                                     const std::vector<JobResult>& want) {
+  PartitionService warm_service(durable_config(dir));
+  std::vector<JobResult> warm = warm_service.run_batch({spec});
+  expect_same_results(want, warm);
+  EXPECT_FALSE(warm[0].cache_hit);
+  MetricsSnapshot m = warm_service.metrics();
+  EXPECT_EQ(m.durability.verify_failed, 1u);
+  EXPECT_EQ(m.durability.quarantined, 1u);
+}
+
+// A seven-vertex tree and a relabeled presentation of it: both share one
+// cache entry, but their cuts are numbered differently.
+graph::Tree warm_tree() {
+  return graph::Tree::from_edges({2.5, 1, 4, 0.5, 3, 3, 1.25},
+                                 {{0, 1, 1},
+                                  {0, 2, 2.5},
+                                  {2, 3, 4},
+                                  {2, 4, 0.75},
+                                  {4, 5, 1},
+                                  {1, 6, 6}});
+}
+
+graph::Tree relabeled_warm_tree() {
+  return graph::Tree::from_edges({3, 1.25, 0.5, 4, 1, 3, 2.5},
+                                 {{3, 2, 4},
+                                  {4, 6, 1},
+                                  {0, 5, 1},
+                                  {6, 3, 2.5},
+                                  {5, 3, 0.75},
+                                  {1, 4, 6}});
+}
+
 TEST(WarmStart, VerifierQuarantinesASemanticallyCorruptRecord) {
   const std::string dir = fresh_dir("warmstart_verify");
   // One deterministic chain job.
   graph::Chain chain{{2, 3, 1, 4, 2}, {5, 1, 7, 2}};
   JobSpec spec = JobSpec::for_chain(Problem::kBottleneck, 7, chain);
-
   std::vector<JobResult> cold;
-  {
-    PartitionService service(durable_config(dir));
-    cold = service.run_batch({spec});
-    ASSERT_EQ(cold[0].status, JobStatus::kOk);
-    service.flush_durable();
-  }
-  // Rewrite the stored record with a corrupted objective: framing CRC
-  // fine, semantics wrong — exactly what the independent verifier is
-  // for.
-  {
-    dur::CacheStore::Config sc;
-    sc.dir = dir;
-    sc.epoch = kCacheRecordEpoch;
-    dur::CacheStore store(sc);
-    std::vector<std::vector<std::uint8_t>> entries;
-    ASSERT_TRUE(store.load([&](std::span<const std::uint8_t> r) {
-      entries.emplace_back(r.begin(), r.end());
-    }));
-    ASSERT_EQ(entries.size(), 1u);
-    CacheKey key;
-    CanonicalOutcome o;
-    ASSERT_TRUE(decode_cache_record(entries[0], key, o));
-    o.objective += 1.0;  // now provably wrong for this cut
-    ASSERT_TRUE(store.append(encode_cache_record(key, o)));
-    ASSERT_TRUE(store.flush_clean());
-  }
-  PartitionService warm_service(durable_config(dir));
-  std::vector<JobResult> warm = warm_service.run_batch({spec});
+  ASSERT_NO_FATAL_FAILURE(solve_then_corrupt(
+      dir, spec,
+      [](CanonicalOutcome& o) { o.objective += 1.0; },  // provably wrong
+      &cold));
   // The corrupt entry was rejected at hit time and the job re-solved:
   // the answer is still the correct one.
-  expect_same_results(cold, warm);
+  expect_quarantined_and_resolved(dir, spec, cold);
+}
+
+TEST(WarmStart, VerifierQuarantinesACorruptTreeRecordForARelabeledTree) {
+  // The hit is verified on the submitted labels, not the canonical ones:
+  // the warm run submits another presentation of the cold run's tree.
+  const std::string dir = fresh_dir("warmstart_verify_tree");
+  JobSpec cold_spec = JobSpec::for_tree(Problem::kBottleneck, 7, warm_tree());
+  JobSpec warm_spec =
+      JobSpec::for_tree(Problem::kBottleneck, 7, relabeled_warm_tree());
+  ASSERT_EQ(graph::tree_fingerprint(*cold_spec.tree),
+            graph::tree_fingerprint(*warm_spec.tree));
+  std::vector<JobResult> cold;
+  ASSERT_NO_FATAL_FAILURE(solve_then_corrupt(
+      dir, cold_spec, [](CanonicalOutcome& o) { o.objective += 1.0; },
+      &cold));
+  expect_quarantined_and_resolved(dir, warm_spec, {execute_job(warm_spec)});
+}
+
+TEST(WarmStart, RelabeledTreeIsServedFromAVerifiedRecord) {
+  // The same pair with an intact record: a warm hit, verified on the
+  // submitted labels and bit-identical to a direct solve.
+  const std::string dir = fresh_dir("warmstart_verify_tree_ok");
+  JobSpec cold_spec = JobSpec::for_tree(Problem::kProcMin, 7, warm_tree());
+  JobSpec warm_spec =
+      JobSpec::for_tree(Problem::kProcMin, 7, relabeled_warm_tree());
+  std::vector<JobResult> cold;
+  ASSERT_NO_FATAL_FAILURE(
+      solve_then_corrupt(dir, cold_spec, [](CanonicalOutcome&) {}, &cold));
+  PartitionService warm_service(durable_config(dir));
+  std::vector<JobResult> warm = warm_service.run_batch({warm_spec});
+  expect_same_results({execute_job(warm_spec)}, warm);
+  EXPECT_TRUE(warm[0].cache_hit);
   MetricsSnapshot m = warm_service.metrics();
-  EXPECT_EQ(m.durability.verify_failed, 1u);
-  EXPECT_EQ(m.durability.quarantined, 1u);
-  EXPECT_GE(m.durability.verified_ok, 0u);
+  EXPECT_EQ(m.durability.verified_ok, 1u);
+  EXPECT_EQ(m.durability.verify_failed, 0u);
+}
+
+TEST(WarmStart, OutOfRangeTreeEdgeIsQuarantined) {
+  // One past the last edge: mapping it through the edge map unchecked
+  // would read past the end of the map.
+  const std::string dir = fresh_dir("warmstart_range_tree");
+  JobSpec cold_spec = JobSpec::for_tree(Problem::kProcMin, 7, warm_tree());
+  JobSpec warm_spec =
+      JobSpec::for_tree(Problem::kProcMin, 7, relabeled_warm_tree());
+  const int m = cold_spec.tree->edge_count();
+  std::vector<JobResult> cold;
+  ASSERT_NO_FATAL_FAILURE(solve_then_corrupt(
+      dir, cold_spec, [m](CanonicalOutcome& o) { o.cut.edges.push_back(m); },
+      &cold));
+  expect_quarantined_and_resolved(dir, warm_spec, {execute_job(warm_spec)});
+}
+
+TEST(WarmStart, OutOfRangeChainEdgeIsQuarantined) {
+  const std::string dir = fresh_dir("warmstart_range_chain");
+  graph::Chain chain{{2, 3, 1, 4, 2}, {5, 1, 7, 2}};
+  JobSpec spec = JobSpec::for_chain(Problem::kBandwidth, 7, chain);
+  JobSpec reversed = JobSpec::for_chain(Problem::kBandwidth, 7,
+                                        graph::reversed_chain(chain));
+  std::vector<JobResult> cold;
+  ASSERT_NO_FATAL_FAILURE(solve_then_corrupt(
+      dir, spec, [](CanonicalOutcome& o) { o.cut.edges.push_back(-1); },
+      &cold));
+  expect_quarantined_and_resolved(dir, reversed, {execute_job(reversed)});
 }
 
 TEST(WarmStart, VerifyResultsFlagChecksFreshSolvesToo) {
