@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <limits>
+#include <ostream>
 
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -69,6 +70,13 @@ struct CcpSweep {
   graph::WeightDist dist;
   int trials;
 };
+
+// Without this, gtest prints the raw bytes of the struct, which include the
+// address of `name`; the discovered ctest names would then change from run
+// to run under address-space randomization.
+void PrintTo(const CcpSweep& sc, std::ostream* os) {
+  *os << sc.name << " n=" << sc.n << " m=" << sc.m << " trials=" << sc.trials;
+}
 
 class CcpAgreement : public testing::TestWithParam<CcpSweep> {};
 
