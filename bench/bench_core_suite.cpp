@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_harness.hpp"
+#include "core/bandwidth_baselines.hpp"
 #include "core/bandwidth_min.hpp"
 #include "core/bottleneck_min.hpp"
 #include "core/chain_bottleneck.hpp"
@@ -79,6 +80,13 @@ int main(int argc, char** argv) {
                                          &arena);
       (void)r.cut_weight;
     });
+    // The served chain-bandwidth solver on the same instance.
+    std::snprintf(name, sizeof name, "bandwidth_dp_deque/n=%d/%s", chain_n,
+                  kRegimeName[regime]);
+    h.run(name, chain_n, [&] {
+      auto r = core::bandwidth_min_dp_deque(c, K, nullptr, &arena);
+      (void)r.cut_weight;
+    });
   }
 
   {
@@ -125,8 +133,9 @@ int main(int argc, char** argv) {
   // Giant instances, one case per --threads width (default: serial only).
   // The /t=W suffix keys tools/bench_diff --min-speedup:
   // same instance, same decomposition, only the team width varies — the
-  // answers are bit-identical, so the timings alone differ.  The tree
-  // bottleneck is serial, so it runs at width 1 only.
+  // answers are bit-identical, so the timings alone differ.  Only the
+  // chain bottleneck — the served kernel with a fork-join path — sweeps;
+  // TEMPS and the tree bottleneck are serial and run at width 1 only.
   {
     const std::vector<int> widths =
         opt.threads.empty() ? std::vector<int>{1} : opt.threads;
@@ -140,6 +149,13 @@ int main(int argc, char** argv) {
       if (w > 1) team = std::make_unique<par::Team>(w);
       par::TeamScope scope(team.get());
       h.set_threads(w);
+      std::snprintf(name, sizeof name, "chain_bottleneck/n=%d/mid/t=%d",
+                    giant_chain_n, w);
+      h.run(name, giant_chain_n, [&] {
+        auto r = core::chain_bottleneck_min(gc, Kc, &arena);
+        (void)r.threshold;
+      });
+      if (w != 1) continue;
       std::snprintf(name, sizeof name, "bandwidth_temps/n=%d/mid/t=%d",
                     giant_chain_n, w);
       h.run(name, giant_chain_n, [&] {
@@ -148,7 +164,6 @@ int main(int argc, char** argv) {
                                            nullptr, &arena);
         (void)r.cut_weight;
       });
-      if (w != 1) continue;
       std::snprintf(name, sizeof name, "bottleneck_bsearch/n=%d/t=%d",
                     giant_tree_n, w);
       h.run(name, giant_tree_n, [&] {

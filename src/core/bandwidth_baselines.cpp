@@ -1,10 +1,13 @@
 #include "core/bandwidth_baselines.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <set>
 
+#include "core/csr_feasible.hpp"
+#include "graph/csr.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace tgp::core {
@@ -23,42 +26,49 @@ void check_preconditions(const graph::Chain& chain, graph::Weight K) {
 /// v_0..v_j with v_j ending its component; the last component starts at
 /// some i with window(i, j) ≤ K, contributing edge i−1 (for i > 0) on top
 /// of best[i−1].  `window_min` must return the argmin i over the feasible
-/// window [lo, j] of g(i) = (i == 0 ? 0 : best[i−1] + β_{i−1}).
+/// window [lo, j] of g(i) = (i == 0 ? 0 : best[i−1] + β_{i−1}).  Scratch
+/// comes from `arena` (the caller's ScratchFrame); one oracle call — one
+/// window argmin — is counted per vertex, and `cancel` is polled there.
 template <typename WindowMin>
 BandwidthResult run_dp(const graph::Chain& chain, graph::Weight K,
+                       const util::CancelToken* cancel, util::Arena& arena,
                        WindowMin window_min) {
   const int n = chain.n();
-  graph::ChainPrefix prefix(chain);
+  const graph::CsrView view = graph::csr_from_chain(chain, arena);
   const graph::Weight k_eff =
-      K + graph::load_epsilon(chain.total_vertex_weight(), n);
-  std::vector<graph::Weight> best(static_cast<std::size_t>(n), kInf);
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
+      K + graph::load_epsilon(view.total_vertex_weight(), n);
+  graph::Weight* best =
+      arena.alloc_array<graph::Weight>(static_cast<std::size_t>(n));
+  int* parent = arena.alloc_array<int>(static_cast<std::size_t>(n));
 
   auto g = [&](int i) -> graph::Weight {
     if (i == 0) return 0;
-    return best[static_cast<std::size_t>(i - 1)] +
-           chain.edge_weight[static_cast<std::size_t>(i - 1)];
+    return best[i - 1] + view.edge_weight[i - 1];
   };
 
   int lo = 0;
   for (int j = 0; j < n; ++j) {
-    while (lo < j && prefix.window(lo, j) > k_eff) ++lo;
+    if (cancel) cancel->poll();
+    while (lo < j && view.window(lo, j) > k_eff) ++lo;
     int arg = window_min(lo, j, g);
     TGP_ENSURE(arg >= lo && arg <= j, "window argmin out of range");
-    best[static_cast<std::size_t>(j)] = g(arg);
-    parent[static_cast<std::size_t>(j)] = arg;
+    best[j] = g(arg);
+    parent[j] = arg;
   }
+  if (obs::SolveCounters* oc = obs::active_counters())
+    oc->oracle_calls += static_cast<std::uint64_t>(n);
 
   BandwidthResult out;
-  out.cut_weight = best[static_cast<std::size_t>(n - 1)];
+  out.cut_weight = best[n - 1];
   for (int j = n - 1; j > 0;) {
-    int i = parent[static_cast<std::size_t>(j)];
+    int i = parent[j];
     if (i == 0) break;
     out.cut.edges.push_back(i - 1);
     j = i - 1;
   }
-  out.cut = out.cut.canonical();
-  TGP_ENSURE(graph::chain_cut_feasible(chain, out.cut, K),
+  // Collected right to left and distinct: reversing is Cut::canonical().
+  std::reverse(out.cut.edges.begin(), out.cut.edges.end());
+  TGP_ENSURE(chain_cut_within(view, out.cut.edges, k_eff),
              "baseline produced an infeasible cut");
   return out;
 }
@@ -106,7 +116,8 @@ BandwidthResult bandwidth_min_brute(const graph::Chain& chain,
 BandwidthResult bandwidth_min_dp_naive(const graph::Chain& chain,
                                        graph::Weight K) {
   check_preconditions(chain, K);
-  return run_dp(chain, K, [](int lo, int j, auto g) {
+  util::ScratchFrame frame(nullptr);
+  return run_dp(chain, K, nullptr, frame.arena(), [](int lo, int j, auto g) {
     int arg = lo;
     graph::Weight best = g(lo);
     for (int i = lo + 1; i <= j; ++i) {
@@ -121,20 +132,23 @@ BandwidthResult bandwidth_min_dp_naive(const graph::Chain& chain,
 }
 
 BandwidthResult bandwidth_min_dp_deque(const graph::Chain& chain,
-                                       graph::Weight K) {
+                                       graph::Weight K,
+                                       const util::CancelToken* cancel,
+                                       util::Arena* scratch) {
+  TGP_SPAN("core", "bandwidth_min");
   check_preconditions(chain, K);
+  util::ScratchFrame frame(scratch);
   // Monotone deque of candidate component-start indices with increasing
-  // g-values; amortized O(1) per vertex.
-  std::deque<int> dq;
-  int pushed = -1;
-  return run_dp(chain, K, [&](int lo, int j, auto g) {
-    while (pushed < j) {
-      ++pushed;
-      while (!dq.empty() && g(dq.back()) >= g(pushed)) dq.pop_back();
-      dq.push_back(pushed);
-    }
-    while (dq.front() < lo) dq.pop_front();
-    return dq.front();
+  // g-values; amortized O(1) per vertex.  Every index is pushed once, so
+  // a flat array of n slots between `head` and `tail` never wraps.
+  int* dq = frame->alloc_array<int>(static_cast<std::size_t>(chain.n()));
+  int head = 0, tail = 0;
+  return run_dp(chain, K, cancel, frame.arena(), [&](int lo, int j, auto g) {
+    const graph::Weight gj = g(j);
+    while (tail > head && g(dq[tail - 1]) >= gj) --tail;
+    dq[tail++] = j;
+    while (dq[head] < lo) ++head;
+    return dq[head];
   });
 }
 
@@ -146,7 +160,8 @@ BandwidthResult bandwidth_min_nicol(const graph::Chain& chain,
   std::set<std::pair<graph::Weight, int>> window;
   int pushed = -1;
   int erased_below = 0;
-  return run_dp(chain, K, [&](int lo, int j, auto g) {
+  util::ScratchFrame frame(nullptr);
+  return run_dp(chain, K, nullptr, frame.arena(), [&](int lo, int j, auto g) {
     while (pushed < j) {
       ++pushed;
       window.emplace(g(pushed), pushed);

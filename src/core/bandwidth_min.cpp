@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/csr_feasible.hpp"
 #include "core/cut_arena.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -27,7 +28,7 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
                                     SearchPolicy policy,
                                     const util::CancelToken* cancel,
                                     util::Arena* scratch) {
-  TGP_SPAN("core", "bandwidth_min");
+  TGP_SPAN("core", "bandwidth_temps");
   chain.validate();
   TGP_REQUIRE(K >= chain.max_vertex_weight(),
               "K must be at least the maximum vertex weight");
@@ -153,16 +154,10 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
   // Postcondition probes over the prefix view — allocation-free versions
   // of chain_cut_feasible / chain_cut_weight.
   {
-    const graph::Weight limit =
-        K + graph::load_epsilon(g.total_vertex_weight(), g.n);
-    int start = 0;
-    bool feasible = true;
-    for (int e : result.cut.edges) {
-      if (g.window(start, e) > limit) feasible = false;
-      start = e + 1;
-    }
-    if (g.window(start, g.n - 1) > limit) feasible = false;
-    TGP_ENSURE(feasible, "bandwidth_min_temps produced an infeasible cut");
+    TGP_ENSURE(chain_cut_within(
+                   g, result.cut.edges,
+                   K + graph::load_epsilon(g.total_vertex_weight(), g.n)),
+               "bandwidth_min_temps produced an infeasible cut");
     graph::Weight recomputed = 0;
     for (int e : result.cut.edges) recomputed += g.edge_weight[e];
     TGP_ENSURE(std::abs(recomputed - result.cut_weight) <=

@@ -12,7 +12,10 @@
 //   3. weighted hitting-set DP over the prime
 //      subpaths using the TEMP_S queue              — O(p log q)
 // for a total of O(n + p log q) time and O(n) space, versus the best
-// previously known O(n log n) (Nicol & O'Hallaron 1991).
+// previously known O(n log n) (Nicol & O'Hallaron 1991).  The partition
+// service serves chain bandwidth with the faster O(n) deque DP
+// (core/bandwidth_baselines.hpp); this is the paper's algorithm, kept for
+// the Figure 2 / §2.3.2 reproduction and as an oracle.
 #pragma once
 
 #include <optional>

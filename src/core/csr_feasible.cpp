@@ -65,6 +65,16 @@ bool feasible_with_removed(const graph::CsrView& g, ComponentScratch& s,
   return true;
 }
 
+bool chain_cut_within(const graph::CsrView& g, const std::vector<int>& edges,
+                      graph::Weight limit) {
+  int start = 0;
+  for (int e : edges) {
+    if (g.window(start, e) > limit) return false;
+    start = e + 1;
+  }
+  return g.window(start, g.n - 1) <= limit;
+}
+
 WeightedUnionFind::WeightedUnionFind(int n, const graph::Weight* w,
                                      util::Arena& arena)
     : parent(arena.alloc_array<int>(static_cast<std::size_t>(n))),

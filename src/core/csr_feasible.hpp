@@ -1,7 +1,10 @@
 // Component queries over a tree CSR with some edges removed — the
 // feasibility oracle of the tree solvers (bottleneck_min, proc_min,
-// tree_bandwidth).
+// tree_bandwidth) — and its chain counterpart for the chain bandwidth
+// solvers' postconditions.
 #pragma once
+
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/weight.hpp"
@@ -33,6 +36,12 @@ void component_weights(const graph::CsrView& g, ComponentScratch& s,
 /// `limit`.  Stops at the first component over the limit.
 bool feasible_with_removed(const graph::CsrView& g, ComponentScratch& s,
                            graph::Weight limit);
+
+/// True when every component of the chain view g cut at the ascending
+/// `edges` (edge e joins v_e and v_{e+1}) weighs at most `limit`.
+/// Allocation-free: the window sums come from g's prefix table.
+bool chain_cut_within(const graph::CsrView& g, const std::vector<int>& edges,
+                      graph::Weight limit);
 
 /// Union-find with union by size that carries each set's total weight at
 /// its root; every array is drawn from the arena given at construction.

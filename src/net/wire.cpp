@@ -391,7 +391,7 @@ std::vector<std::uint8_t> encode_result(const svc::JobResult& r,
                                         std::uint64_t request_id) {
   return make_frame(FrameType::kResult, request_id, [&](auto& out) {
     put_u8(out, static_cast<std::uint8_t>(r.status));
-    put_u8(out, r.degraded ? 1 : 0);
+    put_u8(out, 0);  // reserved (retired degraded-mode flag)
     put_u8(out, r.cache_hit ? 1 : 0);
     put_u8(out, 0);  // reserved
     put_u32(out, static_cast<std::uint32_t>(r.components));
@@ -414,7 +414,7 @@ svc::JobResult decode_result(std::span<const std::uint8_t> payload) {
     throw WireError("unknown job status " + std::to_string(status));
   out.status = static_cast<svc::JobStatus>(status);
   out.ok = out.status == svc::JobStatus::kOk;
-  out.degraded = r.u8() != 0;
+  r.u8();  // reserved (retired degraded-mode flag): ignored
   out.cache_hit = r.u8() != 0;
   r.u8();  // reserved
   out.components = static_cast<int>(r.u32());

@@ -25,8 +25,10 @@
 //                   optional router-filled canonical fingerprint, and
 //                   the graph itself (chain weights, or tree vertex
 //                   weights + edge list).
-//   kResult         the completed JobResult: status, objective, cut,
-//                   degraded/cache-hit flags, solver counters.
+//   kResult         the completed JobResult: status byte, one reserved
+//                   byte (the retired degraded-mode flag: written 0,
+//                   ignored on decode, so older peers still parse it),
+//                   cache-hit flag, objective, cut, solver counters.
 //   kReject         the request never reached the service: quota, frame
 //                   too large, bad version, shutdown.  Carries a
 //                   RejectCode and a reason string.

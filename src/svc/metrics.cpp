@@ -105,8 +105,7 @@ std::string MetricsSnapshot::format() const {
       os << " (cap " << resilience.max_inflight << ")";
     os << ", rejected " << resilience.rejected_inflight << " inflight + "
        << resilience.rejected_rate << " rate, shed " << resilience.jobs_shed
-       << ", retries " << resilience.retry_attempts << ", degraded "
-       << resilience.degraded_solves << "\n";
+       << ", retries " << resilience.retry_attempts << "\n";
     if (resilience.breaker_enabled) {
       os << "breaker: " << breaker_state_name(resilience.breaker.state)
          << ", trips " << resilience.breaker.trips << ", half-opens "
@@ -282,9 +281,6 @@ std::string MetricsSnapshot::render_prometheus() const {
   w.counter("tgp_cache_bypasses_total",
             "Cache operations skipped while the breaker was open",
             resilience.cache_bypasses);
-  w.counter("tgp_degraded_solves_total",
-            "Jobs solved with the degraded-mode baseline",
-            resilience.degraded_solves);
   w.gauge("tgp_inflight_jobs", "Jobs admitted but not yet settled",
           static_cast<double>(resilience.inflight_now));
   w.gauge("tgp_inflight_jobs_peak", "High-water of admitted unfinished jobs",
@@ -430,7 +426,6 @@ std::string MetricsSnapshot::render_json() const {
      << ",\"jobs_shed\":" << resilience.jobs_shed
      << ",\"retry_attempts\":" << resilience.retry_attempts
      << ",\"cache_bypasses\":" << resilience.cache_bypasses
-     << ",\"degraded_solves\":" << resilience.degraded_solves
      << ",\"breaker\":{\"enabled\":"
      << (resilience.breaker_enabled ? "true" : "false") << ",\"state\":\""
      << breaker_state_name(resilience.breaker.state)

@@ -79,15 +79,13 @@ struct MetricsSnapshot {
     std::uint64_t jobs_shed = 0;       ///< dropped at dequeue (expired)
     std::uint64_t retry_attempts = 0;  ///< backoffs taken on cache faults
     std::uint64_t cache_bypasses = 0;  ///< cache ops skipped, breaker open
-    std::uint64_t degraded_solves = 0;
     bool breaker_enabled = false;
     BreakerStats breaker;
 
     bool any() const {
       return max_inflight != 0 || inflight_now != 0 || inflight_peak != 0 ||
              rejected_inflight != 0 || rejected_rate != 0 || jobs_shed != 0 ||
-             retry_attempts != 0 || cache_bypasses != 0 ||
-             degraded_solves != 0 || breaker_enabled;
+             retry_attempts != 0 || cache_bypasses != 0 || breaker_enabled;
     }
   };
   ResilienceStats resilience;

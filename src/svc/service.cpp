@@ -330,7 +330,6 @@ MetricsSnapshot PartitionService::metrics() const {
   m.resilience.jobs_shed = jobs_shed_.load();
   m.resilience.retry_attempts = retry_attempts_.load();
   m.resilience.cache_bypasses = cache_bypasses_.load();
-  m.resilience.degraded_solves = degraded_solves_.load();
   m.resilience.breaker_enabled = config_.breaker.enabled;
   m.resilience.breaker = breaker_.stats();
   m.durability.verified_ok = verified_ok_.load();
@@ -496,18 +495,12 @@ void PartitionService::worker_loop(WorkerState& state) {
             end_ns - static_cast<std::int64_t>(wait_micros * 1e3), end_ns,
             {"slot", static_cast<std::int64_t>(job->slot)});
       }
-      // Degraded mode triggers on the backlog *behind* this job: depth is
-      // only sampled when the watermark is configured, so the default
-      // path never takes the queue lock here.
-      const bool degrade =
-          config_.degrade_watermark > 0 &&
-          queue_.size() >= config_.degrade_watermark;
       state.busy_since_micros.store(dequeued);
       {
         obs::Span job_span("svc", "job");
         job_span.arg("slot", static_cast<std::int64_t>(job->slot));
         util::ScopedTimer timer(micros);
-        r = process(state, job->spec, token, degrade);
+        r = process(state, job->spec, token);
         job_span.arg("cache_hit", r.cache_hit ? 1 : 0);
       }
       state.busy_since_micros.store(-1);
@@ -685,8 +678,7 @@ bool PartitionService::serve_hit(WorkerState& state, const JobSpec& spec,
 }
 
 JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
-                                    const util::CancelToken* cancel,
-                                    bool degrade) {
+                                    const util::CancelToken* cancel) {
   JobResult r;
   try {
     if (util::faults().fire("svc.worker.solve"))
@@ -699,16 +691,11 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         return graph::chain_key(*spec.chain);
       }();
       CacheKey key = CacheKey::make(gk.fingerprint, spec.problem, spec.K);
-      // Degraded or not, the cache is probed first: a hit serves the
-      // *optimal* cached payload and needs no degradation at all.
       if (serve_hit(state, spec, key, gk, *spec.chain, r)) return r;
-      const bool fallback = degrade && spec.problem == Problem::kBandwidth;
       graph::CanonicalChain cc;
       CanonicalOutcome o = [&] {
         TGP_SPAN("svc", "solve");
         cc = graph::materialize_chain(*spec.chain, gk);
-        if (fallback)
-          return solve_canonical_chain_degraded(cc.chain, spec.K);
         return solve_canonical_chain(spec.problem, cc.chain, spec.K, cancel,
                                      &state.arena);
       }();
@@ -721,17 +708,8 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         verified_ok_.fetch_add(1);
       }
       apply_outcome(r, o, cc);
-      if (fallback) {
-        // The degraded cut is exact in objective but may differ from the
-        // primary solver's cut, so it is flagged and never cached — a
-        // later uncontended solve must still produce the canonical
-        // payload.
-        r.degraded = true;
-        degraded_solves_.fetch_add(1);
-      } else {
-        cache_store(state, key, o);
-        journal_store(state, key, o);
-      }
+      cache_store(state, key, o);
+      journal_store(state, key, o);
     } else {
       graph::TreeKey gk = [&] {
         TGP_SPAN("svc", "canonicalize");

@@ -114,9 +114,6 @@ struct ServiceConfig {
   double rate_limit_per_sec = 0;
   /// Bucket capacity; 0 defaults to one second of tokens.
   double rate_burst = 0;
-  /// Queue depth at or above which chain bandwidth-min jobs fall back to
-  /// the O(n) degraded-mode baseline (result flagged degraded).  0 = off.
-  std::size_t degrade_watermark = 0;
   /// Retry schedule for transient cache faults.  max_attempts=1 = off.
   RetryPolicy retry;
   /// Cache circuit breaker; enabled=false = off.
@@ -284,7 +281,7 @@ class PartitionService {
   void worker_loop(WorkerState& state);
   void watchdog_loop();
   JobResult process(WorkerState& state, const JobSpec& spec,
-                    const util::CancelToken* cancel, bool degrade);
+                    const util::CancelToken* cancel);
   /// Probe the cache for `key` and, on a hit, map the cached cut onto
   /// the submitted graph through `gk` (graph::ChainKey / TreeKey) into
   /// `r`.  An entry that needs verification is checked on the submitted
@@ -352,7 +349,6 @@ class PartitionService {
   std::atomic<std::uint64_t> jobs_shed_{0};
   std::atomic<std::uint64_t> retry_attempts_{0};
   std::atomic<std::uint64_t> cache_bypasses_{0};
-  std::atomic<std::uint64_t> degraded_solves_{0};
 
   // Integrity accounting (see MetricsSnapshot::durability).
   std::atomic<std::uint64_t> verified_ok_{0};

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "core/bandwidth_baselines.hpp"
 #include "core/bandwidth_min.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
@@ -120,14 +121,16 @@ TEST(ComplexityCounters, ServicePathMatchesDirectSolve) {
   double K = c.max_vertex_weight() +
              0.01 * (c.total_vertex_weight() - c.max_vertex_weight());
 
-  // The service solves in canonical orientation (possibly the reversal
-  // of the submitted chain), so the reference run must too.
+  // The service solves chain bandwidth-min with the monotone-deque DP in
+  // canonical orientation (possibly the reversal of the submitted chain),
+  // so the reference run must too.
   graph::CanonicalChain cc = graph::canonical_chain(c);
   obs::SolveCounters direct;
   {
     obs::CounterScope scope(&direct);
-    (void)core::bandwidth_min_temps(cc.chain, K);
+    (void)core::bandwidth_min_dp_deque(cc.chain, K);
   }
+  EXPECT_EQ(direct.oracle_calls, static_cast<std::uint64_t>(c.n()));
   svc::JobResult r =
       svc::execute_job(svc::JobSpec::for_chain(svc::Problem::kBandwidth, K, c));
   ASSERT_TRUE(r.ok);

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/bandwidth_baselines.hpp"
 #include "core/bandwidth_min.hpp"
 #include "core/bottleneck_min.hpp"
 #include "core/chain_bottleneck.hpp"
@@ -282,12 +283,18 @@ TEST(CsrDifferential, PreCancelledTokenUnwindsCleanly) {
   EXPECT_THROW(bandwidth_min_temps(c, Kc, nullptr, SearchPolicy::kBinary,
                                    &token, &arena),
                util::CancelledError);
+  const std::size_t in_use = arena.bytes_in_use();
+  EXPECT_THROW(bandwidth_min_dp_deque(c, Kc, &token, &arena),
+               util::CancelledError);
   // The ScratchFrame must release on unwind: the arena is reusable and a
   // fresh solve still matches the reference.
+  EXPECT_EQ(arena.bytes_in_use(), in_use);
   auto got = bandwidth_min_temps(c, Kc, nullptr, SearchPolicy::kBinary,
                                  nullptr, &arena);
   auto want = ref::bandwidth_min_temps(c, Kc);
   EXPECT_EQ(got.cut.edges, want.cut.edges);
+  auto got_dq = bandwidth_min_dp_deque(c, Kc, nullptr, &arena);
+  EXPECT_EQ(got_dq.cut.edges, bandwidth_min_dp_deque(c, Kc).cut.edges);
 }
 
 TEST(CsrDifferential, ExpiredDeadlineReportsDeadlineReason) {
@@ -331,6 +338,7 @@ TEST(CsrDifferential, SteadyStateSolvesAreArenaOnly) {
     (void)tree_bandwidth_greedy(t, Kt, nullptr, &arena);
     (void)bandwidth_min_temps(c, Kc, nullptr, SearchPolicy::kBinary, nullptr,
                               &arena);
+    (void)bandwidth_min_dp_deque(c, Kc, nullptr, &arena);
     (void)chain_bottleneck_min(c, Kc, &arena);
   };
   run_all();  // warm: the arena grows to the working-set size
@@ -352,9 +360,9 @@ TEST(CsrDifferential, SteadyStateSolvesAreArenaOnly) {
 struct WidthSweepRun {
   std::vector<PrimeSubpath> primes;
   std::vector<ReducedEdge> reduced;
-  graph::Cut temps_cut, cbn_cut, bsearch_cut, greedy_cut;
-  graph::Weight temps_weight = 0, cbn_threshold = 0, bsearch_threshold = 0,
-                greedy_weight = 0;
+  graph::Cut temps_cut, deque_cut, cbn_cut, bsearch_cut, greedy_cut;
+  graph::Weight temps_weight = 0, deque_weight = 0, cbn_threshold = 0,
+                bsearch_threshold = 0, greedy_weight = 0;
   obs::SolveCounters counters;
 };
 
@@ -375,6 +383,9 @@ WidthSweepRun run_all_at_width(int width, const graph::Chain& c,
                           &arena);
   out.temps_cut = std::move(temps.cut);
   out.temps_weight = temps.cut_weight;
+  auto deque = bandwidth_min_dp_deque(c, Kc, nullptr, &arena);
+  out.deque_cut = std::move(deque.cut);
+  out.deque_weight = deque.cut_weight;
   auto cbn = chain_bottleneck_min(c, Kc, &arena);
   out.cbn_cut = std::move(cbn.cut);
   out.cbn_threshold = cbn.threshold;
@@ -402,6 +413,9 @@ TEST(CsrDifferential, ParallelWidthsBitIdentical) {
 
   WidthSweepRun serial = run_all_at_width(1, c, Kc, t, Kt);
   ASSERT_FALSE(serial.temps_cut.edges.empty());
+  // Both exact, summed in different orders: equal up to rounding.
+  EXPECT_NEAR(serial.deque_weight, serial.temps_weight,
+              1e-9 * serial.temps_weight);
   EXPECT_EQ(serial.counters.par_threads, 0u) << "no team => no par counters";
   auto ref_bsearch = ref::bottleneck_min_bsearch(t, Kt);
   EXPECT_EQ(serial.bsearch_cut.edges, ref_bsearch.cut.edges);
@@ -428,6 +442,8 @@ TEST(CsrDifferential, ParallelWidthsBitIdentical) {
     }
     EXPECT_EQ(par.temps_cut.edges, serial.temps_cut.edges);
     EXPECT_EQ(par.temps_weight, serial.temps_weight);  // exact: same order
+    EXPECT_EQ(par.deque_cut.edges, serial.deque_cut.edges);
+    EXPECT_EQ(par.deque_weight, serial.deque_weight);
     EXPECT_EQ(par.cbn_cut.edges, serial.cbn_cut.edges);
     EXPECT_EQ(par.cbn_threshold, serial.cbn_threshold);
     EXPECT_EQ(par.bsearch_cut.edges, serial.bsearch_cut.edges);

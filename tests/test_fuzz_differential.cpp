@@ -7,8 +7,10 @@
 // in parallel and failures name the offending seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "ccp/ccp.hpp"
 #include "ccp/host_satellite.hpp"
@@ -19,8 +21,10 @@
 #include "core/duals.hpp"
 #include "core/proc_min.hpp"
 #include "core/tree_bandwidth.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "svc/job.hpp"
 #include "util/rng.hpp"
 
 namespace tgp {
@@ -90,6 +94,40 @@ TEST_P(Fuzz, AllBandwidthMinimizersAgreeThroughSerialization) {
     EXPECT_EQ(before.cut_weight, after.cut_weight);
     auto deque = core::bandwidth_min_dp_deque(back, K);
     EXPECT_DOUBLE_EQ(after.cut_weight, deque.cut_weight);
+  }
+}
+
+TEST_P(Fuzz, ServedChainBandwidthIsTheDequeWitnessWithTheOptimalObjective) {
+  // Tie-heavy integer chains (few distinct weights, so most instances
+  // have several optimal cuts): the served cut is the deque DP's witness
+  // on the canonical chain, bit for bit, and its objective equals TEMPS,
+  // the Nicol stand-in and, where it fits, brute force — exactly, since
+  // every weight and sum is a small integer.
+  for (int t = 0; t < 20; ++t) {
+    int n = static_cast<int>(rng_.uniform_int(2, 40));
+    graph::Chain c;
+    for (int i = 0; i < n; ++i)
+      c.vertex_weight.push_back(static_cast<double>(rng_.uniform_int(1, 4)));
+    for (int i = 0; i + 1 < n; ++i)
+      c.edge_weight.push_back(static_cast<double>(rng_.uniform_int(1, 3)));
+    double K = c.max_vertex_weight() +
+               static_cast<double>(rng_.uniform_int(0, 8));
+    svc::JobResult served = svc::execute_job(
+        svc::JobSpec::for_chain(svc::Problem::kBandwidth, K, c));
+    ASSERT_TRUE(served.ok);
+
+    graph::CanonicalChain cc = graph::canonical_chain(c);
+    std::vector<int> witness;
+    for (int e : core::bandwidth_min_dp_deque(cc.chain, K).cut.edges)
+      witness.push_back(cc.map_edge_back(e));
+    std::sort(witness.begin(), witness.end());
+    EXPECT_EQ(served.cut.edges, witness) << "seed " << GetParam() << " t " << t;
+
+    EXPECT_EQ(served.objective, core::bandwidth_min_temps(c, K).cut_weight);
+    EXPECT_EQ(served.objective, core::bandwidth_min_nicol(c, K).cut_weight);
+    if (c.edge_count() <= 16) {
+      EXPECT_EQ(served.objective, core::bandwidth_min_brute(c, K).cut_weight);
+    }
   }
 }
 

@@ -274,12 +274,21 @@ TEST(WireResult, OkResultRoundTrips) {
   EXPECT_EQ(back.objective, 12.75);
   EXPECT_EQ(back.components, 4);
   EXPECT_TRUE(back.cache_hit);
-  EXPECT_FALSE(back.degraded);
   EXPECT_EQ(back.latency_micros, 321.5);
   EXPECT_EQ(back.counters.oracle_calls, 99u);
   EXPECT_EQ(back.counters.bsearch_probes, 13u);
   EXPECT_EQ(back.counters.prime_subpaths, 5u);
   EXPECT_EQ(back.counters.arena_bytes_peak, 4096u);
+
+  // Payload byte 1 once carried the retired degraded-mode flag.  It is
+  // written 0, and a v1 peer that still sets it decodes the same.
+  EXPECT_EQ(frame[kHeaderBytes + 1], 0u);
+  frame[kHeaderBytes + 1] = 1;
+  svc::JobResult old_peer = decode_result(
+      std::span<const std::uint8_t>(frame).subspan(kHeaderBytes));
+  EXPECT_TRUE(old_peer.cache_hit);
+  EXPECT_EQ(old_peer.cut.edges, r.cut.edges);
+  EXPECT_EQ(old_peer.objective, 12.75);
 }
 
 TEST(WireResult, FailedResultKeepsStatusAndError) {

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "core/bandwidth_baselines.hpp"
+#include "core/bandwidth_min.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
 #include "obs/prom.hpp"
@@ -67,6 +71,24 @@ TEST_F(TraceTest, SpanRecordsWithDurationAndArgs) {
     ASSERT_STREQ(ev.args[1].name, "hit");
     EXPECT_EQ(ev.args[1].value, 1);
   }
+}
+
+TEST_F(TraceTest, ChainBandwidthKernelsEmitTheirOwnSpans) {
+  // core/bandwidth_min names the served chain-bandwidth kernel (the
+  // deque DP), so per-kernel timings follow the solver the service runs;
+  // TEMPS, the paper's baseline, reports as core/bandwidth_temps.
+  graph::Chain c;
+  c.vertex_weight = {3, 1, 4, 1, 5, 9, 2, 6};
+  c.edge_weight = {2, 7, 1, 8, 2, 8, 1};
+  trace::set_enabled(true);
+  (void)core::bandwidth_min_dp_deque(c, 10);
+  (void)core::bandwidth_min_temps(c, 10);
+  trace::set_enabled(false);
+  std::vector<std::string> names;
+  for (const TraceEvent& ev : trace::snapshot().events)
+    if (std::string(ev.cat) == "core") names.emplace_back(ev.name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"bandwidth_min", "bandwidth_temps"}));
 }
 
 TEST_F(TraceTest, SnapshotSortedByStartTime) {

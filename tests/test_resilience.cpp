@@ -1,7 +1,7 @@
 // The overload-resilience layer (svc/resilience.hpp) and its service
 // integration: token-bucket admission, retry backoff determinism, the
-// cache circuit breaker's state machine, thread-safe fault-site
-// registration, and degraded-mode solves under queue pressure.
+// cache circuit breaker's state machine and thread-safe fault-site
+// registration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -379,7 +379,6 @@ TEST(ServiceResilience, RetriedSolvesAreBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(got.size(), clean.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_TRUE(got[i].ok) << "threads " << threads << " job " << i;
-      EXPECT_FALSE(got[i].degraded);
       EXPECT_EQ(got[i].cut.edges, clean[i].cut.edges) << i;
       EXPECT_EQ(got[i].objective, clean[i].objective) << i;
       EXPECT_EQ(got[i].components, clean[i].components) << i;
@@ -422,55 +421,6 @@ TEST(ServiceResilience, BreakerTripsUnderFaultStormAndRecovers) {
   EXPECT_GE(end.resilience.breaker.half_opens, 1u);
   EXPECT_GE(end.resilience.breaker.closes, 1u);
   EXPECT_EQ(end.resilience.breaker.state, BreakerState::kClosed);
-}
-
-// --- Service integration: degraded mode ----------------------------------
-
-TEST(ServiceResilience, DegradedSolvesKeepTheExactObjective) {
-  std::vector<JobSpec> specs;
-  for (int i = 0; i < 32; ++i)
-    specs.push_back(chain_job(Problem::kBandwidth, 80 + i, 0xDE6 + i));
-  std::vector<JobResult> clean;
-  for (const JobSpec& s : specs) clean.push_back(execute_job_captured(s));
-
-  ServiceConfig config;
-  config.threads = 1;  // keep the queue deep while the worker drains it
-  config.degrade_watermark = 1;
-  PartitionService service(config);
-  std::vector<JobResult> got = service.run_batch(specs);
-
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok) << i;
-    // Degraded or not, chain bandwidth-min stays exact: the objective
-    // (and part count) must match the primary solver's.
-    EXPECT_EQ(got[i].objective, clean[i].objective) << i;
-    if (got[i].degraded) {
-      ++degraded;
-    } else {
-      EXPECT_EQ(got[i].cut.edges, clean[i].cut.edges) << i;
-    }
-  }
-  EXPECT_GE(degraded, 1u);
-  MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.resilience.degraded_solves,
-            static_cast<std::uint64_t>(degraded));
-}
-
-TEST(ServiceResilience, NonBandwidthJobsNeverDegrade) {
-  ServiceConfig config;
-  config.threads = 1;
-  config.degrade_watermark = 1;
-  PartitionService service(config);
-  std::vector<JobSpec> specs;
-  for (int i = 0; i < 16; ++i)
-    specs.push_back(chain_job(Problem::kBottleneck, 60, 0xFACE + i));
-  std::vector<JobResult> got = service.run_batch(specs);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok) << i;
-    EXPECT_FALSE(got[i].degraded) << i;
-  }
-  EXPECT_EQ(service.metrics().resilience.degraded_solves, 0u);
 }
 
 }  // namespace

@@ -429,7 +429,9 @@ TEST_F(TracedServiceTest, SpansBalancedUnderInjectedSolverFaults) {
 TEST_F(TracedServiceTest, SpansCloseWhenDeadlineUnwindsMidSolve) {
   ServiceConfig config;
   config.threads = 1;
-  JobSpec slow = chain_job(Problem::kBandwidth, 200000, 0x51de);
+  // Sized so the O(n) deque DP that serves chain bandwidth runs well past
+  // the deadline even in a Release build on a fast machine.
+  JobSpec slow = chain_job(Problem::kBandwidth, 1000000, 0x51de);
   // Wide enough to survive the dequeue check on any reasonable machine,
   // narrow enough that the solver's cancel poll trips mid-solve.
   slow.deadline_micros = 2000;
@@ -462,8 +464,9 @@ TEST_F(TracedServiceTest, SpansCloseWhenDeadlineUnwindsMidSolve) {
 }
 
 TEST_F(TracedServiceTest, CancelledGiantParallelSolveUnwindsWithinDeadline) {
-  // A giant chain solve running on a width-4 intra-solve team hits its
-  // deadline mid-solve.  Workers observe the token between blocks and
+  // A giant chain bottleneck solve — the served kernel with a fork-join
+  // path — running on a width-4 intra-solve team hits its deadline
+  // mid-solve.  Workers observe the token between blocks and
   // drain; the calling thread unwinds with kTimeout long before the
   // full solve could have finished — and every span still closes.
   ServiceConfig config;
@@ -472,7 +475,7 @@ TEST_F(TracedServiceTest, CancelledGiantParallelSolveUnwindsWithinDeadline) {
   // This box may have a single hardware thread; the test is about the
   // cancellation protocol, not speedup, so take the full width anyway.
   config.oversubscribe_solves = true;
-  JobSpec giant = chain_job(Problem::kBandwidth, 4'000'000, 0x61A47);
+  JobSpec giant = chain_job(Problem::kBottleneck, 4'000'000, 0x61A47);
   giant.deadline_micros = 5000;  // a full solve takes orders more
   JobStatus status;
   std::string error;

@@ -6,7 +6,9 @@
 #include <memory>
 #include <vector>
 
+#include "core/bandwidth_baselines.hpp"
 #include "core/bandwidth_min.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "obs/counters.hpp"
 #include "svc/job.hpp"
@@ -41,23 +43,51 @@ TEST(SolveCountersJob, BandwidthChainMatchesInstrumentation) {
   double K = 0;
   graph::Chain c = test_chain(400, 11, 0.05, &K);
 
-  // Ground truth from the solver's own instrumentation struct.
-  core::BandwidthInstrumentation instr;
-  (void)core::bandwidth_min_temps(c, K, &instr);
+  // The service solves chain bandwidth-min with the monotone-deque DP on
+  // the canonical chain; ground truth is that solver's own counters.
+  obs::SolveCounters direct;
+  {
+    obs::CounterScope scope(&direct);
+    (void)core::bandwidth_min_dp_deque(graph::canonical_chain(c).chain, K);
+  }
 
   svc::JobResult r =
       svc::execute_job(svc::JobSpec::for_chain(svc::Problem::kBandwidth, K, c));
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.counters.prime_subpaths, static_cast<std::uint64_t>(instr.p));
-  EXPECT_EQ(r.counters.nonredundant_edges, static_cast<std::uint64_t>(instr.r));
+  EXPECT_TRUE(r.counters.algo_equal(direct));
+  // One window argmin (oracle call) per vertex, and none of TEMPS's
+  // prime-subpath, reduction or TEMP_S search work.
+  EXPECT_EQ(r.counters.oracle_calls, static_cast<std::uint64_t>(c.n()));
+  EXPECT_EQ(r.counters.prime_subpaths, 0u);
+  EXPECT_EQ(r.counters.nonredundant_edges, 0u);
+  EXPECT_EQ(r.counters.bsearch_probes, 0u);
+  EXPECT_EQ(r.counters.gallop_probes, 0u);
+  EXPECT_EQ(r.counters.temps_peak_rows, 0u);
+}
+
+TEST(SolveCountersJob, TempsCountersMatchInstrumentation) {
+  double K = 0;
+  graph::Chain c = test_chain(400, 11, 0.05, &K);
+
+  // Ground truth from the solver's own instrumentation struct.
+  core::BandwidthInstrumentation instr;
+  obs::SolveCounters counters;
+  {
+    obs::CounterScope scope(&counters);
+    (void)core::bandwidth_min_temps(c, K, &instr);
+  }
+  EXPECT_EQ(counters.prime_subpaths, static_cast<std::uint64_t>(instr.p));
+  EXPECT_EQ(counters.nonredundant_edges, static_cast<std::uint64_t>(instr.r));
   // One W_i oracle evaluation per non-redundant edge.
-  EXPECT_EQ(r.counters.oracle_calls, static_cast<std::uint64_t>(instr.r));
+  EXPECT_EQ(counters.oracle_calls, static_cast<std::uint64_t>(instr.r));
   // Paper bound: r ≤ min(2p − 1, n − 1).
   EXPECT_LE(instr.r, std::min(2 * instr.p - 1, c.n() - 1));
   // The default policy is binary search: probes land there, not gallop.
-  EXPECT_GT(r.counters.bsearch_probes, 0u);
-  EXPECT_EQ(r.counters.gallop_probes, 0u);
-  EXPECT_GT(r.counters.temps_peak_rows, 0u);
+  EXPECT_GT(counters.bsearch_probes, 0u);
+  EXPECT_EQ(counters.gallop_probes, 0u);
+  EXPECT_EQ(counters.temps_peak_rows,
+            static_cast<std::uint64_t>(instr.temps.max_rows));
+  EXPECT_GT(counters.temps_peak_rows, 0u);
 }
 
 TEST(SolveCountersJob, ProcMinCountsOneOracleCallPerVertex) {

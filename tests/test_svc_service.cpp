@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "core/bandwidth_baselines.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -122,6 +125,46 @@ TEST(PartitionService, CacheHitIsBitIdenticalToRecomputation) {
   EXPECT_EQ(m.cache.misses, 1u);
 }
 
+TEST(PartitionService, ChainBandwidthServesTheDequeWitness) {
+  // Chain bandwidth-min is served by the monotone-deque DP on the
+  // canonical chain.  Tie-heavy integer weights give many optimal cuts,
+  // so this pins the witness itself, bit for bit, on a miss and on a
+  // cache hit through the reversed presentation.
+  util::Pcg32 rng(0x7E5, 9);
+  graph::Chain c;
+  for (int i = 0; i < 300; ++i)
+    c.vertex_weight.push_back(static_cast<Weight>(rng.uniform_int(1, 3)));
+  for (int i = 0; i + 1 < 300; ++i)
+    c.edge_weight.push_back(static_cast<Weight>(rng.uniform_int(1, 2)));
+  const Weight K = 7;
+  const graph::Chain rev = graph::reversed_chain(c);
+
+  auto witness = [&](const graph::Chain& submitted) {
+    graph::CanonicalChain cc = graph::canonical_chain(submitted);
+    std::vector<int> edges;
+    for (int e : core::bandwidth_min_dp_deque(cc.chain, K).cut.edges)
+      edges.push_back(cc.map_edge_back(e));
+    std::sort(edges.begin(), edges.end());
+    return edges;
+  };
+
+  ServiceConfig config;
+  config.threads = 1;  // serialize so the second job sees the warm cache
+  PartitionService service(config);
+  std::vector<JobResult> got =
+      service.run_batch({JobSpec::for_chain(Problem::kBandwidth, K, c),
+                         JobSpec::for_chain(Problem::kBandwidth, K, rev)});
+  ASSERT_TRUE(got[0].ok);
+  ASSERT_TRUE(got[1].ok);
+  EXPECT_FALSE(got[0].cache_hit);
+  EXPECT_TRUE(got[1].cache_hit);
+  EXPECT_EQ(got[0].cut.edges, witness(c));
+  EXPECT_EQ(got[1].cut.edges, witness(rev));
+  EXPECT_EQ(got[0].objective,
+            core::bandwidth_min_dp_deque(c, K).cut_weight);
+  EXPECT_EQ(got[0].objective, core::bandwidth_min_temps(c, K).cut_weight);
+}
+
 TEST(PartitionService, DisabledCacheNeverHits) {
   std::vector<JobSpec> specs = random_jobs(30, 0xF00D);
   std::vector<JobSpec> dup(specs);  // 100% duplicates
@@ -194,7 +237,9 @@ TEST(PartitionService, MetricsCountersAddUp) {
 }
 
 TEST(PartitionService, SubmitAfterShutdownThrows) {
-  PartitionService service({.threads = 1});
+  ServiceConfig cfg;
+  cfg.threads = 1;
+  PartitionService service(cfg);
   graph::Chain c;
   c.vertex_weight = {1, 2};
   c.edge_weight = {1};
@@ -206,7 +251,9 @@ TEST(PartitionService, SubmitAfterShutdownThrows) {
 }
 
 TEST(PartitionService, ResultThrowsBeforeCompletion) {
-  PartitionService service({.threads = 1});
+  ServiceConfig cfg;
+  cfg.threads = 1;
+  PartitionService service(cfg);
   EXPECT_THROW(service.result(0), std::invalid_argument);
 }
 
